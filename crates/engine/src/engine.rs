@@ -345,10 +345,19 @@ struct PumpSlot {
 /// matters under unbounded churn of never-returning sources).
 const CARRY_STASH_CAP: usize = 1 << 16;
 
+/// Minimum sleep of the source pump between sweeps. Every sweep emits all
+/// sources due by then, so one wake-up serves every source falling due in
+/// the same millisecond. A batch is never emitted early and its `created`
+/// stamp comes from the schedule; only its enqueue instant moves, by
+/// under a quantum (against a shedding interval of hundreds of ms).
+const PUMP_QUANTUM: Duration = Duration::from_millis(1);
+
 /// The source pump: drives every live source's emission schedule on one
 /// thread, with runtime add/remove for query churn. Emitted batches are
 /// acquired from `pool` (the engine-wide recycle loop: nodes return
-/// spent columns, the pump reuses them for the next emission).
+/// spent columns, the pump reuses them for the next emission). The pump
+/// wakes at most once per [`PUMP_QUANTUM`] unless a control message
+/// arrives.
 fn run_pump(
     rx: Receiver<PumpMsg>,
     node_txs: Vec<Sender<ShardMsg>>,
@@ -420,6 +429,7 @@ fn run_pump(
                 .map(|d| {
                     (epoch + Duration::from_micros(d.at.as_micros()))
                         .saturating_duration_since(Instant::now())
+                        .max(PUMP_QUANTUM)
                 })
                 .unwrap_or(IDLE)
         };
@@ -1116,30 +1126,38 @@ impl Engine {
                     self.next_tick = now_wall + self.interval;
                 }
                 let now = self.now();
+                let sample = self.sampling && now_wall >= self.warmup_end;
+                // One SIC message per shard per tick, carrying every update
+                // addressed to that shard's nodes.
+                let mut per_shard: Vec<Vec<SicUpdate>> = vec![Vec::new(); self.n_shards];
                 for c in self.coordinators.iter_mut() {
-                    let sic = self.tracker.query_sic(now, c.query());
+                    let q = c.query();
+                    let sic = self.tracker.query_sic(now, q);
                     c.on_result_sic(sic);
                     for update in c.tick(now) {
                         self.coordinator_messages += 1;
-                        let node = update.node.index();
-                        let _ = self.node_txs[node].send(ShardMsg {
-                            node,
-                            msg: EngineMsg::Sic(update),
-                        });
+                        per_shard[shard_of(update.node.index(), self.n_shards)].push(update);
                     }
-                }
-                if self.sampling && now_wall >= self.warmup_end {
-                    for (&q, t) in self.tracking.iter_mut() {
-                        if !self.active.contains(&q) {
-                            continue;
-                        }
-                        let sic = self.tracker.query_sic(now, q).value();
-                        if now_wall >= t.settle_at {
-                            t.samples.push(sic);
+                    // Coordinators are exactly the active queries, so the
+                    // sample reuses the SIC the coordinator just read.
+                    if sample {
+                        let sic = sic.value();
+                        if let Some(t) = self.tracking.get_mut(&q) {
+                            if now_wall >= t.settle_at {
+                                t.samples.push(sic);
+                            }
                         }
                         if self.config.record_series {
                             self.sic_series.entry(q).or_default().push((now, sic));
                         }
+                    }
+                }
+                for (shard, updates) in per_shard.into_iter().enumerate() {
+                    if !updates.is_empty() {
+                        let _ = self.shard_txs[shard].send(ShardMsg {
+                            node: 0,
+                            msg: EngineMsg::Sic(updates),
+                        });
                     }
                 }
             }
@@ -1424,6 +1442,94 @@ mod tests {
         assert_eq!(recv_batch_len(&rx), 3, "restored carry rounds up");
         pump_tx.send(PumpMsg::Stop).unwrap();
         handle.join().unwrap();
+    }
+
+    /// The pump's wake quantum never moves a batch earlier than its
+    /// schedule and never changes its content: sources whose phases lie
+    /// within one quantum are served by shared sweeps, every scheduled
+    /// batch arrives, none before its due time, and each equals what a
+    /// replica driver emits at the same schedule point.
+    #[test]
+    fn pump_quantum_delivers_every_batch_on_schedule() {
+        const BEATS_PER_S: u32 = 5; // a 200 ms interval
+        let interval_us = 1_000_000 / BEATS_PER_S as u64;
+        let profile = SourceProfile::steady(30, BEATS_PER_S, Dataset::Uniform);
+        let spec = |id: u32| {
+            themis_query::prelude::SourceSpec::plain(
+                SourceId(id),
+                None,
+                themis_query::prelude::SourceKind::Cpu,
+            )
+        };
+        let driver = |id: u32, seed: u64| SourceDriver::new(QueryId(id), &spec(id), profile, seed);
+        // Four seeds whose de-phasing offsets all fall within 1 ms.
+        let mut phased: Vec<(u64, u64)> = (0..4_000u64)
+            .map(|seed| (driver(0, seed).next_time().as_micros(), seed))
+            .collect();
+        phased.sort_unstable();
+        let seeds: Vec<u64> = phased
+            .windows(4)
+            .find(|w| w[3].0 - w[0].0 < PUMP_QUANTUM.as_micros() as u64)
+            .expect("four phases within a quantum")
+            .iter()
+            .map(|&(_, seed)| seed)
+            .collect();
+
+        let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
+        let (tx, rx) = unbounded::<ShardMsg>();
+        let epoch = Instant::now();
+        let handle = thread::spawn(move || run_pump(pump_rx, vec![tx], epoch, BatchPool::new()));
+        let installs = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| SourceInstall {
+                query: QueryId(i as u32),
+                spec: spec(i as u32),
+                profile,
+                seed,
+                node: 0,
+                fragment: 0,
+            })
+            .collect();
+        pump_tx.send(PumpMsg::Add(installs)).unwrap();
+        let mut arrived: Vec<(u64, RoutedBatch)> = Vec::new();
+        let stop_at = Instant::now() + Duration::from_millis(1_100);
+        while let Some(wait) = stop_at.checked_duration_since(Instant::now()) {
+            if let Ok(msg) = rx.recv_timeout(wait) {
+                let EngineMsg::Batch(rb) = msg.msg else {
+                    panic!("pump sent a non-batch message");
+                };
+                arrived.push((epoch.elapsed().as_micros() as u64, rb));
+            }
+        }
+        let stopped_us = epoch.elapsed().as_micros() as u64;
+        pump_tx.send(PumpMsg::Stop).unwrap();
+        handle.join().unwrap();
+
+        for (i, &seed) in seeds.iter().enumerate() {
+            let query = QueryId(i as u32);
+            let mine: Vec<&(u64, RoutedBatch)> =
+                arrived.iter().filter(|(_, rb)| rb.query == query).collect();
+            assert!(mine.len() >= 4, "source {i}: {} batches", mine.len());
+            // Rebuild the schedule: the pump started the driver at its
+            // install instant plus the seeded phase.
+            let mut replica = driver(i as u32, seed);
+            let phase = replica.next_time().as_micros();
+            let first = mine[0].1.batch.created().as_micros();
+            replica.start_at(Timestamp(first - phase));
+            for (received_us, rb) in &mine {
+                let due = replica.next_time();
+                assert!(*received_us >= due.as_micros(), "source {i}: batch early");
+                assert_eq!(rb.batch.created(), due, "source {i}: off schedule");
+                assert_eq!(rb.batch, replica.emit(), "source {i}: content moved");
+            }
+            // No scheduled batch is missing before the final sweep.
+            let last = mine.last().unwrap().1.batch.created().as_micros();
+            assert!(
+                last + interval_us + 20_000 >= stopped_us,
+                "source {i}: batches missing after {last} us (stopped at {stopped_us} us)"
+            );
+        }
     }
 
     /// The engine-wide recycle loop closes: sources acquire from the pool

@@ -42,8 +42,12 @@ pub struct AttachFragment {
 pub enum EngineMsg {
     /// A data batch.
     Batch(RoutedBatch),
-    /// A coordinator SIC update.
-    Sic(SicUpdate),
+    /// One coordinator tick's SIC updates for every node of the receiving
+    /// shard (the envelope's `node` is ignored): one channel message per
+    /// shard per tick instead of one per (query, node). Updates addressed
+    /// to nodes the shard does not host (torn down, or crashed) are
+    /// dropped.
+    Sic(Vec<SicUpdate>),
     /// Install a query fragment on the addressed node (runtime query
     /// arrival; installs the node itself if absent).
     Attach(Box<AttachFragment>),
@@ -81,8 +85,9 @@ pub enum EngineMsg {
 /// payload. Every sender addressing node `n` holds a clone of the owning
 /// shard's channel, so one shard multiplexes messages for all of its nodes.
 pub struct ShardMsg {
-    /// Global node index the payload is for (ignored for
-    /// [`EngineMsg::Shutdown`], which stops the whole shard).
+    /// Global node index the payload is for (ignored for the shard-wide
+    /// [`EngineMsg::Sic`], [`EngineMsg::Crash`], [`EngineMsg::Recover`]
+    /// and [`EngineMsg::Shutdown`]).
     pub node: usize,
     /// Payload.
     pub msg: EngineMsg,
@@ -97,8 +102,6 @@ pub struct ResultEvent {
     pub at: Timestamp,
     /// SIC mass of the emission.
     pub sic: Sic,
-    /// Result rows.
-    pub rows: Vec<Row>,
 }
 
 /// Counters accumulated by one node worker.
@@ -118,7 +121,8 @@ pub struct NodeReport {
     pub shed_time_ns: u64,
     /// Number of timed shedder calls.
     pub shed_decisions: u64,
-    /// Coordinator updates received.
+    /// Coordinator updates applied (one per update, however many arrive
+    /// in one message).
     pub sic_updates: u64,
     /// Shedding ticks fired (detector invocations).
     pub ticks: u64,

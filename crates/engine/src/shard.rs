@@ -89,8 +89,6 @@ impl ShardRouting {
                         query,
                         at: e.at,
                         sic: e.sic(),
-                        // Result rows materialise at the reporting edge.
-                        rows: e.batch().to_rows(),
                     });
                 }
             }
@@ -345,40 +343,40 @@ pub fn run_shard(
                     *generations.entry(node).or_insert(0) += 1;
                 }
             }
-            Ok(ShardMsg { node, msg }) => {
-                if let Some(state) = states.get_mut(&node) {
-                    match msg {
-                        EngineMsg::Batch(rb) => {
-                            let ts = Timestamp(epoch.elapsed().as_micros() as u64);
-                            state.enqueue(rb, ts);
-                        }
-                        EngineMsg::Sic(update) => {
-                            state.apply_sic(&update);
-                            if !crashed {
-                                if let Some(d) = &durability {
-                                    if log.is_none() {
-                                        log = open_log(d);
-                                    }
-                                    if let Some(l) = &mut log {
-                                        if let Err(e) = l.append(&wal::SicDelta {
-                                            node,
-                                            query: update.query,
-                                            sic: update.sic,
-                                        }) {
-                                            eprintln!("shard {}: wal append failed: {e}", d.shard);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        EngineMsg::Attach(_)
-                        | EngineMsg::Detach { .. }
-                        | EngineMsg::Crash
-                        | EngineMsg::Recover { .. }
-                        | EngineMsg::Shutdown => {
-                            unreachable!("matched above")
+            Ok(ShardMsg {
+                msg: EngineMsg::Sic(updates),
+                ..
+            }) => {
+                for update in &updates {
+                    let node = update.node.index();
+                    let Some(state) = states.get_mut(&node) else {
+                        continue;
+                    };
+                    state.apply_sic(update);
+                    let Some(d) = durability.as_ref().filter(|_| !crashed) else {
+                        continue;
+                    };
+                    if log.is_none() {
+                        log = open_log(d);
+                    }
+                    if let Some(l) = &mut log {
+                        if let Err(e) = l.append(&wal::SicDelta {
+                            node,
+                            query: update.query,
+                            sic: update.sic,
+                        }) {
+                            eprintln!("shard {}: wal append failed: {e}", d.shard);
                         }
                     }
+                }
+            }
+            Ok(ShardMsg {
+                msg: EngineMsg::Batch(rb),
+                node,
+            }) => {
+                if let Some(state) = states.get_mut(&node) {
+                    let ts = Timestamp(epoch.elapsed().as_micros() as u64);
+                    state.enqueue(rb, ts);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -680,6 +678,112 @@ mod tests {
             resident.ticks
         );
         assert!(churned.ticks >= 2, "both incarnations ticked");
+    }
+
+    /// One batched SIC message reaches a live node, a torn-down node and a
+    /// crashed shard's node: only the live node applies its updates, its
+    /// `sic_updates` counts each update, and the durable shard appends
+    /// exactly one WAL delta per applied update.
+    #[test]
+    fn batched_sic_applies_only_to_live_nodes() {
+        let dir = std::env::temp_dir().join(format!("themis-shard-sic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ids = IdGen::new();
+        let queries: Vec<Arc<QuerySpec>> = (0..3)
+            .map(|q| Arc::new(Template::Avg.build(QueryId(q), &mut ids)))
+            .collect();
+        // Shard 0 hosts nodes 0 (live) and 2 (torn down); shard 1 hosts
+        // node 1 and crashes.
+        let (tx0, rx0) = crossbeam::channel::unbounded::<ShardMsg>();
+        let (tx1, rx1) = crossbeam::channel::unbounded::<ShardMsg>();
+        let update = |q: u32, node: u32, sic: f64| SicUpdate {
+            query: QueryId(q),
+            node: NodeId(node),
+            sic: Sic(sic),
+        };
+        let batch = vec![
+            update(0, 0, 0.25),
+            update(1, 1, 0.5),
+            update(2, 2, 0.75),
+            update(0, 0, 0.5),
+        ];
+        let sic_msg = || ShardMsg {
+            node: 0,
+            msg: EngineMsg::Sic(batch.clone()),
+        };
+        let shutdown = || ShardMsg {
+            node: 0,
+            msg: EngineMsg::Shutdown,
+        };
+        for node in [0, 2] {
+            let config = node_config(50, TimeDelta::ZERO, 100);
+            tx0.send(attach_msg(node, config, &queries[node])).unwrap();
+        }
+        tx0.send(ShardMsg {
+            node: 2,
+            msg: EngineMsg::Detach {
+                query: queries[2].id,
+            },
+        })
+        .unwrap();
+        tx0.send(sic_msg()).unwrap();
+        tx0.send(shutdown()).unwrap();
+        tx1.send(attach_msg(
+            1,
+            node_config(50, TimeDelta::ZERO, 100),
+            &queries[1],
+        ))
+        .unwrap();
+        tx1.send(ShardMsg {
+            node: 1,
+            msg: EngineMsg::Crash,
+        })
+        .unwrap();
+        tx1.send(sic_msg()).unwrap();
+        tx1.send(shutdown()).unwrap();
+
+        let epoch = Instant::now();
+        let handles: Vec<_> = [rx0, rx1]
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| {
+                let (results_tx, _) = crossbeam::channel::unbounded();
+                let routing = ShardRouting {
+                    node_txs: vec![tx0.clone(), tx1.clone(), tx0.clone()],
+                    results_tx,
+                };
+                let durability = ShardDurability {
+                    dir: dir.clone(),
+                    shard,
+                    every: Duration::from_secs(3600),
+                    sic_bound: 0.0,
+                };
+                std::thread::spawn(move || run_shard(routing, rx, epoch, Some(durability)))
+            })
+            .collect();
+        let by_node: HashMap<usize, NodeReport> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("shard panicked"))
+            .collect();
+        assert_eq!(by_node[&0].sic_updates, 2, "live node applies both");
+        assert_eq!(by_node[&1].sic_updates, 0, "crashed shard applies none");
+        assert_eq!(by_node[&2].sic_updates, 0, "torn-down node applies none");
+
+        let logged = themis_core::wal::restore_shard(&dir, 0)
+            .expect("readable log")
+            .expect("shard 0 logged");
+        let expected = [0.25, 0.5].map(|sic| wal::SicDelta {
+            node: 0,
+            query: QueryId(0),
+            sic: Sic(sic),
+        });
+        assert_eq!(logged.deltas, expected);
+        let crashed = themis_core::wal::restore_shard(&dir, 1).expect("readable log");
+        assert!(
+            crashed.is_none_or(|r| r.deltas.is_empty()),
+            "crashed shard wrote deltas"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -184,6 +184,12 @@ impl WindowedOperator {
         self.drain(now)
     }
 
+    /// True when [`WindowedOperator::tick`] at `now` has a pane to close
+    /// ([`WindowBuffer::has_due`]).
+    pub fn has_due(&self, now: Timestamp) -> bool {
+        self.buffer.has_due(now)
+    }
+
     /// Tuples processed by the logic so far (cost-model accounting).
     pub fn processed_tuples(&self) -> u64 {
         self.processed_tuples

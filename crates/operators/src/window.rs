@@ -302,6 +302,29 @@ impl WindowBuffer {
         }
     }
 
+    /// True exactly when [`WindowBuffer::close_up_to`] at `now` would
+    /// return at least one pane: a ready pass-through/count pane, or a
+    /// non-empty time pane whose end (plus grace) has passed. Lets callers
+    /// skip a tick that could only return nothing.
+    pub fn has_due(&self, now: Timestamp) -> bool {
+        if !self.ready.is_empty() {
+            return true;
+        }
+        if !self.spec.is_timed() {
+            return false;
+        }
+        let deadline = self.close_deadline(now);
+        self.panes
+            .iter()
+            .take_while(|&(&idx, _)| self.pane_end(idx) <= deadline)
+            .any(|(_, inputs)| inputs.iter().any(|b| !b.is_empty()))
+    }
+
+    /// Time panes ending at or before this instant are closed at `now`.
+    fn close_deadline(&self, now: Timestamp) -> u64 {
+        now.as_micros().saturating_sub(self.grace.as_micros())
+    }
+
     /// Closes every time pane whose end (plus grace) has passed `now` and
     /// returns them in order, together with any pass-through/count panes
     /// accumulated since the last call.
@@ -310,7 +333,7 @@ impl WindowBuffer {
         if !self.spec.is_timed() {
             return out;
         }
-        let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
+        let deadline = self.close_deadline(now);
         let closed: Vec<u64> = self
             .panes
             .keys()

@@ -172,6 +172,98 @@ proptest! {
     }
 }
 
+/// One step of a random window workload: advance logical time by
+/// `advance_ms`, then either push rows (timestamps up to 1.5 s behind the
+/// new `now`, optionally with the first row dropped) or close due panes.
+#[derive(Debug, Clone)]
+enum WindowStep {
+    Push {
+        advance_ms: u64,
+        port: usize,
+        lags_ms: Vec<u64>,
+        drop_first: bool,
+    },
+    Tick {
+        advance_ms: u64,
+    },
+}
+
+fn arb_window_spec() -> impl Strategy<Value = WindowSpec> {
+    prop::sample::select(vec![
+        WindowSpec::PassThrough,
+        WindowSpec::tumbling(TimeDelta::from_secs(1)),
+        WindowSpec::sliding(TimeDelta::from_secs(1), TimeDelta::from_millis(250)),
+        WindowSpec::Count { count: 1 },
+        WindowSpec::Count { count: 3 },
+    ])
+}
+
+fn arb_window_steps() -> impl Strategy<Value = Vec<WindowStep>> {
+    let step = (
+        0u8..2,
+        0u64..700,
+        0usize..2,
+        prop::collection::vec(0u64..1500, 0..6),
+        0u8..2,
+    )
+        .prop_map(|(kind, advance_ms, port, lags_ms, drop_first)| {
+            if kind == 0 {
+                WindowStep::Tick { advance_ms }
+            } else {
+                WindowStep::Push {
+                    advance_ms: advance_ms / 2,
+                    port,
+                    lags_ms,
+                    drop_first: drop_first == 1,
+                }
+            }
+        });
+    prop::collection::vec(step, 1..40)
+}
+
+proptest! {
+    /// `has_due(now)` predicts `close_up_to(now)` exactly, for every
+    /// window kind: a caller may skip a tick only when it would have
+    /// returned nothing.
+    #[test]
+    fn has_due_matches_close_up_to(
+        spec in arb_window_spec(),
+        ports in 1usize..3,
+        grace_ms in prop::sample::select(vec![0u64, 250, 500]),
+        steps in arb_window_steps(),
+    ) {
+        let mut buf = WindowBuffer::new(spec, ports, TimeDelta::from_millis(grace_ms));
+        let mut now_ms = 0u64;
+        for step in steps {
+            match step {
+                WindowStep::Push { advance_ms, port, lags_ms, drop_first } => {
+                    now_ms += advance_ms;
+                    let tuples: Vec<Tuple> = lags_ms
+                        .iter()
+                        .map(|&lag| {
+                            let ts = Timestamp::from_millis(now_ms.saturating_sub(lag));
+                            Tuple::measurement(ts, Sic(0.01), lag as f64)
+                        })
+                        .collect();
+                    let mut batch = TupleBatch::from_tuples(tuples);
+                    if drop_first && !batch.is_empty() {
+                        batch.drop_row(0);
+                    }
+                    buf.push(port, batch, Timestamp::from_millis(now_ms));
+                }
+                WindowStep::Tick { advance_ms } => now_ms += advance_ms,
+            }
+            // Probe after every step, not only on ticks: pass-through and
+            // count panes become ready on push.
+            let now = Timestamp::from_millis(now_ms);
+            let due = buf.has_due(now);
+            let panes = buf.close_up_to(now);
+            prop_assert_eq!(due, !panes.is_empty(), "{:?} at {} ms", spec, now_ms);
+            prop_assert!(!buf.has_due(now), "closing left a due pane");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Typed-kernel parity: for random schemas and batches, every typed
 // kernel result matches the scalar `Value`-path fold — bit-for-bit for

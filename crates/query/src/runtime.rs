@@ -97,8 +97,13 @@ impl FragmentRuntime {
     }
 
     /// Advances logical time: closes due windows on every operator, in
-    /// topological order, cascading intra-fragment emissions.
+    /// topological order, cascading intra-fragment emissions. Returns at
+    /// once when no operator has a pane to close — the common case for an
+    /// idle fragment, and exact: such a pass could only return nothing.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Emission> {
+        if !self.ops.iter().any(|op| op.has_due(now)) {
+            return Vec::new();
+        }
         self.run(now, Vec::new())
     }
 
@@ -154,12 +159,17 @@ impl FragmentRuntime {
             if i == self.root {
                 results.extend(emissions);
             } else {
+                let Some((&(last, last_port), rest)) = self.downstream[i].split_last() else {
+                    continue;
+                };
                 for e in emissions {
-                    for &(to, port) in &self.downstream[i] {
+                    for &(to, port) in rest {
                         // Columnar clone: a handful of memcpys, not one
                         // allocation per tuple.
                         inbox[to].push((port, e.batch().clone()));
                     }
+                    // The last (usually sole) consumer takes the batch.
+                    inbox[last].push((last_port, e.into_batch()));
                 }
             }
         }
