@@ -38,7 +38,7 @@ use themis_workloads::prelude::*;
 
 use crate::messages::{AttachFragment, EngineMsg, NodeReport, ResultEvent, RoutedBatch, ShardMsg};
 use crate::node_state::NodeConfig;
-use crate::shard::{run_shard, shard_of, ShardDurability, ShardRouting};
+use crate::shard::{run_shard, shard_of, Mailbox, ShardDurability, ShardRouting};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -93,8 +93,8 @@ pub struct EngineConfig {
     /// an ephemeral port — read the real one back with
     /// [`Engine::ingest_addr`]). `None` (the default) opens no socket.
     /// With a listener bound, remote source processes feed the engine
-    /// wire batches that enter the exact same shard channels the
-    /// in-process pump uses.
+    /// wire batches that enter the exact same shard mailboxes the
+    /// in-process pump posts to.
     pub ingest_listen: Option<String>,
     /// Run without the in-process source pump: installed queries attach
     /// their fragments as usual but no local source drivers are
@@ -248,6 +248,10 @@ pub struct EngineReport {
     /// full send queues — the link-level loss the transport chose over
     /// blocking the source pump.
     pub remote_shed_batches: u64,
+    /// Per shard, how many times its thread returned from its blocking
+    /// receive: once per tick or checkpoint deadline and per channel
+    /// message, never per source batch (see [`Mailbox`]).
+    pub shard_wakes: Vec<u64>,
 }
 
 impl EngineReport {
@@ -355,15 +359,12 @@ const PUMP_QUANTUM: Duration = Duration::from_millis(1);
 /// The source pump: drives every live source's emission schedule on one
 /// thread, with runtime add/remove for query churn. Emitted batches are
 /// acquired from `pool` (the engine-wide recycle loop: nodes return
-/// spent columns, the pump reuses them for the next emission). The pump
-/// wakes at most once per [`PUMP_QUANTUM`] unless a control message
+/// spent columns, the pump reuses them for the next emission) and posted
+/// to the destination node's shard mailbox (`mailboxes`, indexed by
+/// node), stamped with the instant of the sweep that emitted them. The
+/// pump wakes at most once per [`PUMP_QUANTUM`] unless a control message
 /// arrives.
-fn run_pump(
-    rx: Receiver<PumpMsg>,
-    node_txs: Vec<Sender<ShardMsg>>,
-    epoch: Instant,
-    pool: BatchPool,
-) {
+fn run_pump(rx: Receiver<PumpMsg>, mailboxes: Vec<Arc<Mailbox>>, epoch: Instant, pool: BatchPool) {
     const IDLE: Duration = Duration::from_millis(50);
     let mut slots: Vec<PumpSlot> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
@@ -399,20 +400,18 @@ fn run_pump(
             let pd = slot.driver.as_mut().expect("live generation has a driver");
             // Re-anchor drivers that fell a whole beat behind instead of
             // emitting their backlog at maximum rate.
-            pd.driver
-                .fast_forward(Timestamp(epoch.elapsed().as_micros() as u64));
+            let now_ts = Timestamp(epoch.elapsed().as_micros() as u64);
+            pd.driver.fast_forward(now_ts);
             let batch = pd.driver.emit();
-            // Quiet-pattern batches can be empty; nothing to send then.
+            // Quiet-pattern batches can be empty; nothing to post then.
             if !batch.is_empty() {
-                let _ = node_txs[pd.node].send(ShardMsg {
-                    node: pd.node,
-                    msg: EngineMsg::Batch(RoutedBatch {
-                        query: pd.query,
-                        fragment: pd.fragment,
-                        ingress: themis_query::prelude::Ingress::Source(pd.driver.source),
-                        batch,
-                    }),
-                });
+                let rb = RoutedBatch {
+                    query: pd.query,
+                    fragment: pd.fragment,
+                    ingress: themis_query::prelude::Ingress::Source(pd.driver.source),
+                    batch,
+                };
+                mailboxes[pd.node].post(pd.node, rb, now_ts);
             }
             heap.push(Due {
                 at: pd.driver.next_time(),
@@ -540,6 +539,8 @@ pub struct Engine {
     node_capacity_tps: Vec<u32>,
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
+    /// One source-batch mailbox per shard.
+    mailboxes: Vec<Arc<Mailbox>>,
     results_rx: Receiver<ResultEvent>,
     shard_handles: Vec<JoinHandle<Vec<(usize, NodeReport)>>>,
     pump_tx: Sender<PumpMsg>,
@@ -602,6 +603,13 @@ impl Engine {
         let node_txs: Vec<Sender<ShardMsg>> = (0..scenario.n_nodes)
             .map(|n| shard_txs[shard_of(n, n_shards)].clone())
             .collect();
+        // Source batches bypass the channels: the pump and the ingest
+        // listener post them to the owning shard's mailbox, addressed by
+        // node like the senders above.
+        let mailboxes: Vec<Arc<Mailbox>> = (0..n_shards).map(|_| Arc::default()).collect();
+        let node_mailboxes: Vec<Arc<Mailbox>> = (0..scenario.n_nodes)
+            .map(|n| mailboxes[shard_of(n, n_shards)].clone())
+            .collect();
         let (results_tx, results_rx) = unbounded::<ResultEvent>();
 
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
@@ -621,9 +629,10 @@ impl Engine {
                 }),
                 _ => None,
             };
+            let mailbox = mailboxes[i].clone();
             let handle = thread::Builder::new()
                 .name(format!("shard-{i}"))
-                .spawn(move || run_shard(routing, rx, epoch, durability))
+                .spawn(move || run_shard(routing, rx, &mailbox, epoch, durability))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
@@ -631,46 +640,43 @@ impl Engine {
 
         let pool = BatchPool::new();
         let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let pump_txs = node_txs.clone();
+        let pump_mailboxes = node_mailboxes.clone();
         let pump_pool = pool.clone();
         let pump_handle = thread::Builder::new()
             .name("source-pump".into())
-            .spawn(move || run_pump(pump_rx, pump_txs, epoch, pump_pool))
+            .spawn(move || run_pump(pump_rx, pump_mailboxes, epoch, pump_pool))
             .expect("spawn pump thread");
 
         // Ingest listener: remote source processes feed the exact same
-        // shard channels the in-process pump does — a wire batch and a
+        // shard mailboxes the in-process pump does — a wire batch and a
         // pump batch are indistinguishable past this point.
         let ingest = config.ingest_listen.as_ref().map(|listen| {
             let stats = Arc::new(Mutex::new(IngestStats::default()));
-            let txs = node_txs.clone();
             let handler_stats = stats.clone();
             let server = IngestServer::bind(
                 listen,
                 Arc::new(move |ev| match ev {
                     IngestEvent::Batch(wb) => {
                         let node = wb.node as usize;
-                        if node >= txs.len() {
+                        let Some(mailbox) = node_mailboxes.get(node) else {
                             handler_stats.lock().unwrap().errors.push((
                                 wb.source.to_string(),
                                 format!(
                                     "batch routed to unknown node {node} (engine hosts {})",
-                                    txs.len()
+                                    node_mailboxes.len()
                                 ),
                             ));
                             return;
-                        }
+                        };
                         let batch =
                             Batch::from_source_data(wb.query, wb.source, wb.created, wb.batch);
-                        let _ = txs[node].send(ShardMsg {
-                            node,
-                            msg: EngineMsg::Batch(RoutedBatch {
-                                query: wb.query,
-                                fragment: wb.fragment as usize,
-                                ingress: themis_query::prelude::Ingress::Source(wb.source),
-                                batch,
-                            }),
-                        });
+                        let rb = RoutedBatch {
+                            query: wb.query,
+                            fragment: wb.fragment as usize,
+                            ingress: themis_query::prelude::Ingress::Source(wb.source),
+                            batch,
+                        };
+                        mailbox.post(node, rb, Timestamp(epoch.elapsed().as_micros() as u64));
                     }
                     IngestEvent::Closed {
                         sent_batches,
@@ -727,6 +733,7 @@ impl Engine {
             node_capacity_tps: scenario.node_capacity_tps.clone(),
             shard_txs,
             node_txs,
+            mailboxes,
             results_rx,
             shard_handles,
             pump_tx,
@@ -1221,6 +1228,7 @@ impl Engine {
             }
         }
 
+        let shard_wakes = self.mailboxes.iter().map(|m| m.wakes()).collect();
         let mut per_query_sic: Vec<(QueryId, f64)> = self
             .tracking
             .into_iter()
@@ -1253,6 +1261,7 @@ impl Engine {
             remote_batches,
             remote_sent_batches,
             remote_shed_batches,
+            shard_wakes,
         }
     }
 }
@@ -1395,15 +1404,25 @@ mod tests {
         assert_eq!(report.shards, 2);
     }
 
-    /// Receives the next non-empty data batch routed by the pump.
-    fn recv_batch_len(rx: &Receiver<ShardMsg>) -> usize {
+    /// Takes every batch the pump has posted to `mailbox` so far.
+    fn take_posted(mailbox: &Mailbox) -> Vec<crate::shard::Posted> {
+        let mut posted = Vec::new();
+        mailbox.take_into(&mut posted);
+        posted
+    }
+
+    /// Waits for the next non-empty data batch the pump posts.
+    fn recv_batch_len(mailbox: &Mailbox) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let msg = rx.recv_timeout(Duration::from_secs(5)).expect("pump batch");
-            if let EngineMsg::Batch(rb) = msg.msg {
-                if !rb.batch.is_empty() {
-                    return rb.batch.len();
-                }
+            if let Some((_, rb, _)) = take_posted(mailbox)
+                .into_iter()
+                .find(|(_, rb, _)| !rb.batch.is_empty())
+            {
+                return rb.batch.len();
             }
+            assert!(Instant::now() < deadline, "no pump batch within 5 s");
+            thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -1415,10 +1434,11 @@ mod tests {
     #[test]
     fn pump_preserves_fractional_carry_across_remove_and_readd() {
         let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let (tx, rx) = unbounded::<ShardMsg>();
+        let mailbox = Arc::new(Mailbox::default());
         let epoch = Instant::now();
         let pool = BatchPool::new();
-        let handle = thread::spawn(move || run_pump(pump_rx, vec![tx], epoch, pool));
+        let pump_mailboxes = vec![mailbox.clone()];
+        let handle = thread::spawn(move || run_pump(pump_rx, pump_mailboxes, epoch, pool));
         let install = || SourceInstall {
             query: QueryId(0),
             spec: themis_query::prelude::SourceSpec::plain(
@@ -1434,12 +1454,12 @@ mod tests {
             fragment: 0,
         };
         pump_tx.send(PumpMsg::Add(vec![install()])).unwrap();
-        assert_eq!(recv_batch_len(&rx), 2, "first emission floors 2.5");
+        assert_eq!(recv_batch_len(&mailbox), 2, "first emission floors 2.5");
         // Remove the query and immediately re-add the same source; the
         // 0.5-tuple balance must survive the slot teardown.
         pump_tx.send(PumpMsg::Remove(QueryId(0))).unwrap();
         pump_tx.send(PumpMsg::Add(vec![install()])).unwrap();
-        assert_eq!(recv_batch_len(&rx), 3, "restored carry rounds up");
+        assert_eq!(recv_batch_len(&mailbox), 3, "restored carry rounds up");
         pump_tx.send(PumpMsg::Stop).unwrap();
         handle.join().unwrap();
     }
@@ -1476,9 +1496,11 @@ mod tests {
             .collect();
 
         let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let (tx, rx) = unbounded::<ShardMsg>();
+        let mailbox = Arc::new(Mailbox::default());
         let epoch = Instant::now();
-        let handle = thread::spawn(move || run_pump(pump_rx, vec![tx], epoch, BatchPool::new()));
+        let pump_mailboxes = vec![mailbox.clone()];
+        let handle =
+            thread::spawn(move || run_pump(pump_rx, pump_mailboxes, epoch, BatchPool::new()));
         let installs = seeds
             .iter()
             .enumerate()
@@ -1492,17 +1514,16 @@ mod tests {
             })
             .collect();
         pump_tx.send(PumpMsg::Add(installs)).unwrap();
-        let mut arrived: Vec<(u64, RoutedBatch)> = Vec::new();
-        let stop_at = Instant::now() + Duration::from_millis(1_100);
-        while let Some(wait) = stop_at.checked_duration_since(Instant::now()) {
-            if let Ok(msg) = rx.recv_timeout(wait) {
-                let EngineMsg::Batch(rb) = msg.msg else {
-                    panic!("pump sent a non-batch message");
-                };
-                arrived.push((epoch.elapsed().as_micros() as u64, rb));
-            }
-        }
+        thread::sleep(Duration::from_millis(1_100));
         let stopped_us = epoch.elapsed().as_micros() as u64;
+        // Each batch carries the instant the pump handed it off.
+        let arrived: Vec<(u64, RoutedBatch)> = take_posted(&mailbox)
+            .into_iter()
+            .map(|(node, rb, at)| {
+                assert_eq!(node, 0, "posted for the bound node");
+                (at.as_micros(), rb)
+            })
+            .collect();
         pump_tx.send(PumpMsg::Stop).unwrap();
         handle.join().unwrap();
 

@@ -12,7 +12,9 @@
 //! `shards + 2` threads (pool + source pump + the coordinator on the
 //! calling thread). Ticks fire whenever their deadline has
 //! passed — a message flood cannot starve the overload detector — and an
-//! overrunning tick skips its missed periods instead of storming.
+//! overrunning tick skips its missed periods instead of storming. Source
+//! batches do not wake a shard: they wait in its [`shard::Mailbox`] until
+//! the shard's next tick or checkpoint deadline.
 //!
 //! Queries **churn at runtime**: [`engine::Engine::attach_query`] installs
 //! a fresh query's fragments on the least-loaded running nodes (shards
@@ -43,6 +45,8 @@ pub mod prelude {
         AttachFragment, EngineMsg, NodeReport, ResultEvent, RoutedBatch, ShardMsg,
     };
     pub use crate::node_state::{NodeConfig, NodeState};
-    pub use crate::shard::{run_shard, shard_assignment, shard_of, ShardDurability, ShardRouting};
+    pub use crate::shard::{
+        run_shard, shard_assignment, shard_of, Mailbox, ShardDurability, ShardRouting,
+    };
     pub use themis_core::shedder::PolicyKind;
 }

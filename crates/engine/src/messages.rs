@@ -40,7 +40,9 @@ pub struct AttachFragment {
 
 /// Messages delivered to engine nodes.
 pub enum EngineMsg {
-    /// A data batch.
+    /// A data batch received on the shard's channel: an inter-fragment
+    /// emission, enqueued when the shard receives it. Source batches skip
+    /// the channel and wait in the shard's [`crate::shard::Mailbox`].
     Batch(RoutedBatch),
     /// One coordinator tick's SIC updates for every node of the receiving
     /// shard (the envelope's `node` is ignored): one channel message per

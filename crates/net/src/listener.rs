@@ -195,10 +195,14 @@ fn serve_conn(
             }
         };
         buf.extend_from_slice(&tmp[..n]);
+        // Decode every whole frame of this read behind a moving offset,
+        // then compact the unread tail once: draining per frame would move
+        // the rest of a 64 KiB read once per frame.
+        let mut read = 0;
         loop {
-            match dec.next(&buf) {
+            match dec.next(&buf[read..]) {
                 Ok(Some((msg, used))) => {
-                    buf.drain(..used);
+                    read += used;
                     match msg {
                         NetMsg::Hello {
                             version,
@@ -243,9 +247,89 @@ fn serve_conn(
                 }
             }
         }
+        buf.drain(..read);
         if saw_bye {
             // The bye is the peer's last frame; don't wait for its FIN.
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::sync::mpsc;
+
+    use themis_core::prelude::*;
+
+    use crate::codec::encode_msg;
+
+    /// One socket write carrying hundreds of batch frames and the bye
+    /// reaches the handler whole: every batch, in order, then the bye's
+    /// exact counts.
+    #[test]
+    fn one_write_of_many_frames_arrives_complete_and_in_order() {
+        const FRAMES: u64 = 300;
+        let (tx, rx) = mpsc::channel::<IngestEvent>();
+        let tx = Mutex::new(tx);
+        let server = IngestServer::bind(
+            "127.0.0.1:0",
+            Arc::new(move |ev| {
+                let _ = tx.lock().unwrap().send(ev);
+            }),
+        )
+        .expect("bind ingest listener");
+        let mut bytes = Vec::new();
+        let hello = NetMsg::Hello {
+            version: PROTOCOL_VERSION,
+            peer: "burst".into(),
+        };
+        encode_msg(&hello, &mut bytes);
+        for i in 0..FRAMES {
+            let mut batch = TupleBatch::with_capacity(1, 2);
+            for j in 0..2 {
+                batch.push_row(Timestamp(i), Sic(1.0e-3), &[Value::F64((i * 2 + j) as f64)]);
+            }
+            let wb = WireBatch {
+                node: 0,
+                query: QueryId(0),
+                fragment: 0,
+                source: SourceId(0),
+                created: Timestamp(i),
+                batch,
+            };
+            encode_msg(&NetMsg::Batch(wb), &mut bytes);
+        }
+        let bye = NetMsg::Bye {
+            sent_batches: FRAMES,
+            shed_batches: 7,
+        };
+        encode_msg(&bye, &mut bytes);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(&bytes).expect("one write");
+
+        let mut created = Vec::new();
+        loop {
+            match rx.recv_timeout(Duration::from_secs(10)).expect("event") {
+                IngestEvent::Batch(wb) => {
+                    assert_eq!(wb.batch.len(), 2);
+                    created.push(wb.created.as_micros());
+                }
+                IngestEvent::Closed {
+                    peer,
+                    sent_batches,
+                    shed_batches,
+                } => {
+                    assert_eq!(peer, "burst");
+                    assert_eq!((sent_batches, shed_batches), (FRAMES, 7));
+                    break;
+                }
+                IngestEvent::Error { peer, detail } => panic!("{peer}: {detail}"),
+            }
+        }
+        assert_eq!(created, (0..FRAMES).collect::<Vec<_>>());
+        assert_eq!(server.batches_received(), FRAMES);
+        server.shutdown();
     }
 }
